@@ -10,9 +10,13 @@ At the end of the session a machine-readable ``BENCH_*.json`` document
 (schema ``repro-bench/1``, see :mod:`repro.experiments.benchjson`) is
 written, combining the explicit kernel hot-path timings recorded by
 ``test_kernel_hotpaths.py`` with the per-test wall-clock numbers collected
-by ``pytest-benchmark``.  CI uploads the file as an artifact so kernel
-speedups are tracked across PRs; override the location with the
-``BENCH_JSON`` environment variable.
+by ``pytest-benchmark``.  It goes to the git-ignored
+``.benchmarks/BENCH_results.json`` (:data:`DEFAULT_BENCH_JSON`), so a test
+run never rewrites a tracked file; override the location with the
+``BENCH_JSON`` environment variable.  CI uploads the file as an artifact so
+kernel speedups are tracked across PRs.  The committed
+``benchmarks/BENCH_results.json`` and ``docs/results.md`` are refreshed
+together, deliberately, with ``python tools/gen_results_report.py --refresh``.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the suite to its smallest scale
 (used by the CI ``benchmarks-smoke`` job, which runs under a wall-clock
@@ -45,6 +49,14 @@ else:
         replications=2,
         max_views_per_state=2,
     )
+
+#: Where the session's document goes unless ``BENCH_JSON`` says otherwise
+#: (git-ignored, like everything under ``.benchmarks/``).
+DEFAULT_BENCH_JSON = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ".benchmarks",
+    "BENCH_results.json",
+)
 
 #: Timing records contributed by the benchmark tests themselves
 #: (name -> {"seconds": ..., "group": ..., ...}); merged into the emitted
@@ -139,10 +151,7 @@ def pytest_sessionfinish(session, exitstatus):
             scenarios[name] = get_scenario(name).describe()
         except KeyError:  # pragma: no cover - stale tag in a timing record
             pass
-    path = os.environ.get(
-        "BENCH_JSON",
-        os.path.join(os.path.dirname(__file__), "BENCH_results.json"),
-    )
+    path = os.environ.get("BENCH_JSON", DEFAULT_BENCH_JSON)
     try:
         write_bench_json(path, timings, BENCH_SCALE, scenarios=scenarios)
     except OSError as error:  # pragma: no cover - read-only checkout etc.

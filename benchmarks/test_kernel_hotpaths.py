@@ -203,15 +203,14 @@ def _fully_concurrent_box(monitor, automaton, registry, side):
         conjuncts=[{} for _ in range(n)],
         start_cut=[0] * n,
         cut=[side] * n,
-        depend=[0] * n,
+        depend=[side] * n,  # the component-wise maximum of the clocks below
         min_positions=[0] * n,
         satisfied=[True] * n,
     )
     columns = _per_process_letters(n, side, seed=7)
     for j in range(n):
-        for sn in range(1, side + 1):
-            vc = tuple(sn if k == j else 0 for k in range(n))
-            entry.record_scan(j, sn, columns[j][sn - 1], vc)
+        vcs = [tuple(sn if k == j else 0 for k in range(n)) for sn in range(1, side + 1)]
+        entry.record_scan(j, 1, columns[j], vcs)
     return view, entry
 
 
@@ -222,6 +221,8 @@ def test_box_bfs_events_per_sec():
     A fully concurrent box maximises the consistent cells the BFS must
     expand, so this isolates the per-cell combine+step cost.  The recorded
     unit is cells expanded per second (``events_per_sec``, higher better).
+    The monitor's box memo is cleared before every iteration, so each one
+    runs the search instead of answering from the previous iteration.
     """
     side = 8 if _SMOKE else 16
     iterations = 2 if _SMOKE else 3
@@ -243,6 +244,7 @@ def test_box_bfs_events_per_sec():
         view, entry = _fully_concurrent_box(monitor, automaton, registry, side)
         start = time.perf_counter()
         for _ in range(iterations):
+            monitor._box_memo.clear()
             reachable, letters = monitor._box_reachable(view, entry)
         elapsed = time.perf_counter() - start
         results[label] = (reachable, letters, monitor.declared_verdicts, elapsed)

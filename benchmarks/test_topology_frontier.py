@@ -3,8 +3,9 @@
 The tentpole of the topology refactor: every registered
 ``repro.coordination`` topology replays the paper-default workload on the
 simulator, and each (topology, property) point is recorded into the
-session's ``BENCH_*.json`` under the ``topology-frontier`` group with two
-extra comparable fields — ``topology_messages_total`` (the full monitor
+session's ``BENCH_*.json`` under the ``topology-frontier`` group, with the
+wall time of that point's own runs as its ``seconds`` and two extra
+comparable fields — ``topology_messages_total`` (the full monitor
 message count, token + termination + digest) and
 ``topology_verdict_latency`` (the virtual-time instant the monitors went
 quiescent).  ``tools/compare_bench.py`` tracks both across sessions, so a
@@ -53,7 +54,7 @@ def _frontier():
     for row in rows:
         record_timing(
             f"topology_{row['topology']}_{row['property']}",
-            seconds / max(1, len(rows)),
+            row["seconds"],
             group="topology-frontier",
             scenario="paper-default",
             topology=row["topology"],

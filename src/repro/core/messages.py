@@ -11,7 +11,7 @@ an inconsistent global view.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["TokenEntry", "Token", "TerminationNotice", "VerdictAnnouncement"]
@@ -33,7 +33,9 @@ class TokenEntry:
     clock of **every** event it scanned, so the parent can later replay all
     interleavings inside the box ``[start_cut, cut]`` and fork a view for
     every automaton state reachable there (this is what makes the
-    implementation sound by construction).
+    implementation sound by construction).  A serving monitor advances one
+    component per visit by a whole range of events, found in one step from
+    its scan index, and records that range with one :meth:`record_scan`.
 
     Attributes
     ----------
@@ -61,7 +63,8 @@ class TokenEntry:
     scanned_letters / scanned_vcs:
         Letters and vector clocks of every event scanned while advancing,
         keyed by process and sequence number — the data for the parent's
-        box replay.
+        box replay.  Ranges are recorded whole, but the layout stays one
+        entry per event, which is what the wire codec encodes.
     eval:
         ``None`` while undecided, else ``True`` / ``False``.
     parked_on:
@@ -114,11 +117,25 @@ class TokenEntry:
         if self.eval is None and not self.pending_targets():
             self.eval = True
 
-    def record_scan(self, process: int, sn: int, letter: Letter, vc: tuple[int, ...]) -> None:
-        """Record one scanned remote event and fold its clock into depend."""
-        self.scanned_letters.setdefault(process, {})[sn] = letter
-        self.scanned_vcs.setdefault(process, {})[sn] = tuple(vc)
-        self.depend = [max(a, b) for a, b in zip(self.depend, vc)]
+    def record_scan(
+        self,
+        process: int,
+        first_sn: int,
+        letters: Sequence[Letter],
+        vcs: Sequence[tuple[int, ...]],
+    ) -> None:
+        """Record a scanned range of *process*'s events.
+
+        ``letters[k]`` and ``vcs[k]`` belong to event ``first_sn + k``; the
+        range is stored under ``scanned_letters`` / ``scanned_vcs`` keyed by
+        sequence number, exactly as if each event were recorded on its own.
+        The caller folds the range's clocks into ``depend``: the serving
+        monitor computes their component-wise maximum in one step from its
+        scan index.
+        """
+        span = range(first_sn, first_sn + len(letters))
+        self.scanned_letters.setdefault(process, {}).update(zip(span, letters))
+        self.scanned_vcs.setdefault(process, {}).update(zip(span, vcs))
 
 
 @dataclass

@@ -33,8 +33,8 @@ Differences from the thesis pseudo-code (documented in DESIGN.md):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-
 from dataclasses import dataclass
 
 from ..coordination import CoordinationTopology, RoundRobinToken
@@ -72,6 +72,9 @@ def verdict_divergence(
 #: Maximum number of cuts replayed exactly inside a token's box before the
 #: monitor falls back to a single topologically-sorted interleaving.
 _BOX_CELL_LIMIT = 20_000
+
+#: Boxes a monitor remembers before its box memo starts over.
+_BOX_MEMO_LIMIT = 1024
 
 
 @dataclass
@@ -187,8 +190,18 @@ class DecentralizedMonitor:
         self._seen_notices: set[TerminationNotice] = set()
         self._seen_announcements: set[VerdictAnnouncement] = set()
 
-        self.history: dict[int, Event] = {}
-        self.local_letters: dict[int, Letter] = {0: self.initial_letters[process]}
+        # scan index over the local history, one slot per sequence number
+        # (slot 0 is the initial state): the letter and clock of each event,
+        # the first sequence number of the monotone clock run each event
+        # belongs to, and the sequence numbers where a new letter run starts
+        self._letters: list[Letter] = [self.initial_letters[process]]
+        self._vcs: list[tuple[int, ...]] = [(0,) * num_processes]
+        self._clock_runs: list[int] = [0]
+        self._letter_runs: list[int] = [0]
+        #: conjunct items -> letter -> whether the letter satisfies it
+        self._sat_memo: dict[tuple, dict[Letter, bool]] = {}
+        #: box content -> (reachable states, conclusive states declared)
+        self._box_memo: dict[tuple, tuple[frozenset[int], tuple[int, ...]]] = {}
         self.last_local_sn = 0
         self.local_terminated = False
         #: final event count of each process, once known
@@ -287,9 +300,6 @@ class DecentralizedMonitor:
                 self.transport.send(self.process, target, announcement)
                 self.metrics.digest_messages_sent += 1
 
-    def _local_letter(self, sn: int) -> Letter:
-        return self.local_letters[sn]
-
     # ------------------------------------------------------------------
     # public entry points
     # ------------------------------------------------------------------
@@ -313,14 +323,26 @@ class DecentralizedMonitor:
             raise ValueError(
                 f"monitor {self.process} received event of process {event.process}"
             )
+        sn = event.sn
+        if sn != self.last_local_sn + 1:
+            raise ValueError(
+                f"monitor {self.process} expected event {self.last_local_sn + 1}, "
+                f"got {sn}"
+            )
         if not self._started:
             self.start()
         self.metrics.events_processed += 1
-        self.history[event.sn] = event
-        self.local_letters[event.sn] = self.registry.local_letter(
-            self.process, event.state
-        )
-        self.last_local_sn = event.sn
+        letter = self.registry.local_letter(self.process, event.state)
+        vc = tuple(event.vc)
+        if letter != self._letters[-1]:
+            self._letter_runs.append(sn)
+        if all(a <= b for a, b in zip(self._vcs[-1], vc)):
+            self._clock_runs.append(self._clock_runs[-1])
+        else:
+            self._clock_runs.append(sn)
+        self._letters.append(letter)
+        self._vcs.append(vc)
+        self.last_local_sn = sn
 
         waiting_views = [v for v in self.views if v.is_waiting()]
         if waiting_views:
@@ -434,21 +456,21 @@ class DecentralizedMonitor:
             view.status == ViewStatus.UNBLOCKED
             and view.cut[self.process] < self.last_local_sn
         ):
-            event = self.history[view.cut[self.process] + 1]
-            self._step_view(view, event)
+            self._step_view(view, view.cut[self.process] + 1)
 
-    def _step_view(self, view: GlobalView, event: Event) -> None:
-        """Advance *view* by one local event (PROCESSEVENT)."""
+    def _step_view(self, view: GlobalView, sn: int) -> None:
+        """Advance *view* by local event *sn* (PROCESSEVENT)."""
+        vc = self._vcs[sn]
         lagging = [
             j
             for j in range(self.num_processes)
-            if j != self.process and event.vc[j] > view.cut[j]
+            if j != self.process and vc[j] > view.cut[j]
         ]
         if lagging:
-            self._create_repair_token(view, event, lagging)
+            self._create_repair_token(view, sn, lagging)
             return
 
-        letter_local = self._local_letter(event.sn)
+        letter_local = self._letters[sn]
         if self._compiled is not None:
             mask = self._mask_of(letter_local)
             mask_of = self._mask_of
@@ -460,7 +482,7 @@ class DecentralizedMonitor:
         else:
             global_letter = view.letter_with(self.process, letter_local)
             new_state = self.automaton.step(view.state, global_letter)
-        view.cut[self.process] = event.sn
+        view.cut[self.process] = sn
         view.letters[self.process] = letter_local
         view.state = new_state
         if self.automaton.is_final(new_state):
@@ -570,13 +592,13 @@ class DecentralizedMonitor:
         return entry
 
     def _create_repair_token(
-        self, view: GlobalView, event: Event, lagging: list[int]
+        self, view: GlobalView, sn: int, lagging: list[int]
     ) -> None:
         """Pull the view up to the causal past of an out-of-order local event."""
         n = self.num_processes
         min_positions = list(view.cut)
         for j in lagging:
-            min_positions[j] = event.vc[j]
+            min_positions[j] = self._vcs[sn][j]
         entry = TokenEntry(
             transition_id=None,
             guard={},
@@ -591,7 +613,7 @@ class DecentralizedMonitor:
         token = Token(
             parent_process=self.process,
             parent_view=view.view_id,
-            parent_event_sn=event.sn,
+            parent_event_sn=sn,
             entries=[entry],
         )
         self.metrics.tokens_created += 1
@@ -612,40 +634,99 @@ class DecentralizedMonitor:
         self._route_token(token)
 
     def _serve_entry(self, entry: TokenEntry) -> None:
-        """Advance the entry using this monitor's local history."""
+        """Advance the entry using this monitor's local history.
+
+        The entry stops at the first local event at or past both its
+        position bound and ``cut + 1`` whose letter satisfies the conjunct.
+        The bound cannot grow on the way: the scanned events are this
+        process's own, and an event's own clock component is its sequence
+        number.  So the end is found in one search over letter runs, and the
+        whole range up to it is recorded and folded into ``depend`` at once.
+        Without such an event the entry scans to ``last_local_sn`` and parks
+        there, or fails once the process has terminated.
+        """
         j = self.process
         conjunct = entry.conjuncts[j]
         entry.waiting_for.discard(j)
-        progressed = False
-        while True:
-            target_min = max(entry.depend[j], entry.min_positions[j])
-            needs_position = entry.cut[j] < target_min
-            needs_conjunct = bool(conjunct) and not entry.satisfied[j]
-            if not needs_position and not needs_conjunct:
-                entry.parked_on = None
-                break
-            next_sn = entry.cut[j] + 1
-            if next_sn > self.last_local_sn:
-                if self.local_terminated:
-                    entry.eval = False
-                    entry.parked_on = None
-                else:
-                    entry.parked_on = j
-                    entry.waiting_for.add(j)
-                break
-            event = self.history[next_sn]
-            letter = self._local_letter(next_sn)
-            entry.record_scan(j, next_sn, letter, tuple(event.vc))
-            entry.cut[j] = next_sn
+        cut = entry.cut[j]
+        bound = max(entry.depend[j], entry.min_positions[j])
+        if cut >= bound and (not conjunct or entry.satisfied[j]):
+            entry.parked_on = None
+            return
+        end = self._first_enabling(conjunct, max(cut + 1, bound))
+        stop = self.last_local_sn if end is None else end
+        progressed = stop > cut
+        if progressed:
+            first = cut + 1
+            entry.record_scan(
+                j, first, self._letters[first : stop + 1], self._vcs[first : stop + 1]
+            )
+            clock_max = self._clock_max(first, stop)
+            entry.depend = [max(a, b) for a, b in zip(entry.depend, clock_max)]
+            letter = self._letters[stop]
+            entry.cut[j] = stop
             entry.letters[j] = letter
             entry.satisfied[j] = _satisfies(letter, conjunct) if conjunct else True
-            progressed = True
-            # loop: keep advancing until both the position bound and the
-            # conjunct are satisfied (the bound may have grown via depend)
+        if end is not None:
+            entry.parked_on = None
+        elif self.local_terminated:
+            entry.eval = False
+            entry.parked_on = None
+        else:
+            entry.parked_on = j
+            entry.waiting_for.add(j)
         if progressed:
             # this component moved, so other processes that previously had
             # nothing actionable are worth revisiting
             entry.waiting_for.intersection_update({j})
+
+    def _first_enabling(self, conjunct: Mapping[str, bool], start: int) -> int | None:
+        """The first local sn >= *start* whose letter satisfies *conjunct*.
+
+        Letters change rarely along a process, so the search visits one
+        letter per run and jumps to the next run start; satisfaction is
+        memoised per (conjunct, letter).  ``None`` when no such event has
+        been read yet.
+        """
+        if start > self.last_local_sn:
+            return None
+        if not conjunct:
+            return start
+        key = tuple(conjunct.items())
+        memo = self._sat_memo.get(key)
+        if memo is None:
+            memo = self._sat_memo[key] = {}
+        letters = self._letters
+        runs = self._letter_runs
+        sn = start
+        while True:
+            letter = letters[sn]
+            satisfied = memo.get(letter)
+            if satisfied is None:
+                satisfied = memo[letter] = _satisfies(letter, conjunct)
+            if satisfied:
+                return sn
+            following = bisect_right(runs, sn)
+            if following == len(runs):
+                return None
+            sn = runs[following]
+
+    def _clock_max(self, first: int, last: int) -> tuple[int, ...]:
+        """Component-wise maximum of the local clocks of events first..last.
+
+        Within a monotone clock run the last clock is the maximum, so the
+        fold visits one clock per run, walking backwards from *last*.
+        Histories are one run in practice (clock skew keeps each process's
+        clocks monotone); a history whose clocks go down is folded run by run.
+        """
+        vcs = self._vcs
+        runs = self._clock_runs
+        top = vcs[last]
+        sn = runs[last] - 1
+        while sn >= first:
+            top = tuple([max(a, b) for a, b in zip(top, vcs[sn])])
+            sn = runs[sn] - 1
+        return top
 
     def _retry_waiting_tokens(self) -> None:
         """Re-examine parked tokens after new local events or terminations."""
@@ -844,45 +925,88 @@ class DecentralizedMonitor:
         interleavings of the events inside ``[view.cut, entry.cut]``.
 
         Conclusive states reached anywhere inside the box are declared
-        immediately (those partial paths are real executions).
+        (those partial paths are real executions).  The result depends only
+        on the view's state, cut and letters, the entry's cut and the
+        letters and clocks the entry scanned inside the box, so it is
+        memoised per monitor under exactly that content, and the memo stays
+        exact whatever produced the content (a forged or replayed token, a
+        skewed clock).  A memo hit re-declares the stored conclusive states,
+        in their first-declared order, which leaves the monitor as the
+        search would.
         """
         n = self.num_processes
-        base = list(view.cut)
-        target = list(entry.cut)
-        ranges = [target[j] - base[j] for j in range(n)]
+        base = view.cut
+        target = entry.cut
+        letter_cols: list[tuple[Letter, ...]] = []
+        vc_cols: list[tuple[tuple[int, ...], ...]] = []
+        for j in range(n):
+            if target[j] > base[j]:
+                span = range(base[j] + 1, target[j] + 1)
+                scanned_letters = entry.scanned_letters[j]
+                scanned_vcs = entry.scanned_vcs[j]
+                letter_cols.append(tuple([scanned_letters[p] for p in span]))
+                vc_cols.append(tuple([scanned_vcs[p] for p in span]))
+            else:
+                letter_cols.append(())
+                vc_cols.append(())
+        key = (
+            view.state,
+            tuple(base),
+            tuple(target),
+            tuple(view.letters),
+            tuple(letter_cols),
+            tuple(vc_cols),
+        )
+        memo = self._box_memo
+        found = memo.get(key)
+        if found is None:
+            found = self._box_search(view, target, letter_cols, vc_cols)
+            if len(memo) >= _BOX_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = found
+        reachable, declared = found
+        for state in declared:
+            self._declare(state)
         letters_at_target = [
-            entry.scanned_letters.get(j, {}).get(target[j], view.letters[j])
-            if target[j] > base[j]
-            else view.letters[j]
-            for j in range(n)
+            col[-1] if col else view.letters[j] for j, col in enumerate(letter_cols)
         ]
+        return set(reachable), letters_at_target
 
+    def _box_search(
+        self,
+        view: GlobalView,
+        target: list[int],
+        letter_cols: list[tuple[Letter, ...]],
+        vc_cols: list[tuple[tuple[int, ...], ...]],
+    ) -> tuple[frozenset[int], tuple[int, ...]]:
+        """Reachable states at *target* and the conclusive states met on the way.
+
+        ``letter_cols[j]`` / ``vc_cols[j]`` hold the letters and clocks of
+        process ``j``'s events inside the box, in sequence order.  Returns
+        the states reachable at the box's top cell and the conclusive states
+        reached anywhere in it, in the order the search first meets them.
+        """
+        n = self.num_processes
+        base = view.cut
+        ranges = [target[j] - base[j] for j in range(n)]
         cells = 1
         for r in ranges:
             cells *= r + 1
         if cells > _BOX_CELL_LIMIT:
-            return self._box_reachable_linear(view, entry), letters_at_target
+            return self._box_search_linear(view, letter_cols, vc_cols)
 
-        # Precompute, per (process, offset): the letter at that position and
-        # the vector clock expressed relative to the base cut.  The inner
-        # consistency check then reduces to integer comparisons on small
-        # tuples, which dominates the cost of large boxes.
-        letters_by: list[list[Letter]] = []
-        rel_vc: list[list[tuple[int, ...] | None]] = []
-        for j in range(n):
-            col_letters = [view.letters[j]]
-            col_vcs: list[tuple[int, ...] | None] = [None]
-            for off in range(1, ranges[j] + 1):
-                position = base[j] + off
-                col_letters.append(entry.scanned_letters[j][position])
-                vc = entry.scanned_vcs[j][position]
-                col_vcs.append(tuple(vc[k] - base[k] for k in range(n)))
-            letters_by.append(col_letters)
-            rel_vc.append(col_vcs)
-        active = [j for j in range(n) if ranges[j] > 0]
+        # Per (process, offset): the letter at that position and the vector
+        # clock expressed relative to the base cut, so the consistency check
+        # reduces to integer comparisons on small tuples.
+        n_range = range(n)
+        letters_by = [[view.letters[j], *letter_cols[j]] for j in n_range]
+        rel_vc = [
+            [None] + [tuple([vc[k] - base[k] for k in n_range]) for vc in vc_cols[j]]
+            for j in n_range
+        ]
+        active = [j for j in n_range if ranges[j] > 0]
         automaton_step = self.automaton.step
         is_final = self.automaton.is_final
-        n_range = range(n)
         compiled = self._compiled
         if compiled is not None:
             # per-(process, offset) bitmask columns: combining the letters of
@@ -891,15 +1015,19 @@ class DecentralizedMonitor:
             masks_by = [[mask_of(letter) for letter in col] for col in letters_by]
             table = compiled.table
             n_letters = compiled.n_letters
+            final_flags = compiled.final_flags
 
         # Level-synchronous BFS over the *reachable consistent* cells of the
         # box (all predecessors of a cell sit exactly one level below it, so
         # each level is complete before it is expanded).  Compared to
         # enumerating the full product this skips unreachable regions and
-        # touches each cell once, with no predecessor reconstruction.
+        # touches each cell once, with no predecessor reconstruction.  Every
+        # expanded cell is consistent and a successor adds one event, so
+        # only that event's clock needs checking against the successor.
         origin = tuple([0] * n)
         final_offsets = tuple(ranges)
         final_states: set[int] = {view.state} if final_offsets == origin else set()
+        declared: dict[int, None] = {}
         inconsistent: set[tuple[int, ...]] = set()
         current: dict[tuple[int, ...], set[int]] = {origin: {view.state}}
         while current:
@@ -907,39 +1035,32 @@ class DecentralizedMonitor:
             letters_at: dict[tuple[int, ...], Letter | int] = {}
             for offsets, states in current.items():
                 for j in active:
-                    oj = offsets[j]
-                    if oj >= ranges[j]:
+                    oj = offsets[j] + 1
+                    if oj > ranges[j]:
                         continue
-                    succ = offsets[:j] + (oj + 1,) + offsets[j + 1 :]
+                    succ = offsets[:j] + (oj,) + offsets[j + 1 :]
                     bucket = nxt.get(succ)
                     if bucket is None:
                         if succ in inconsistent:
                             continue
-                        consistent = True
-                        for i in active:
-                            oi = succ[i]
-                            if oi == 0:
-                                continue
-                            rel = rel_vc[i][oi]
-                            for k in n_range:
-                                if rel[k] > succ[k]:  # type: ignore[index]
-                                    consistent = False
-                                    break
-                            if not consistent:
+                        rel = rel_vc[j][oj]
+                        for k in n_range:
+                            if rel[k] > succ[k]:  # type: ignore[index]
+                                inconsistent.add(succ)
                                 break
-                        if not consistent:
-                            inconsistent.add(succ)
-                            continue
-                        bucket = nxt[succ] = set()
-                        if compiled is not None:
-                            cell_mask = 0
-                            for i in n_range:
-                                cell_mask |= masks_by[i][succ[i]]
-                            letters_at[succ] = cell_mask
                         else:
-                            letters_at[succ] = self._combine(
-                                letters_by[i][succ[i]] for i in n_range
-                            )
+                            bucket = nxt[succ] = set()
+                            if compiled is not None:
+                                cell_mask = 0
+                                for i in n_range:
+                                    cell_mask |= masks_by[i][succ[i]]
+                                letters_at[succ] = cell_mask
+                            else:
+                                letters_at[succ] = self._combine(
+                                    letters_by[i][succ[i]] for i in n_range
+                                )
+                        if bucket is None:
+                            continue
                     letter = letters_at[succ]
                     if compiled is not None:
                         for state in states:
@@ -947,35 +1068,30 @@ class DecentralizedMonitor:
                     else:
                         for state in states:
                             bucket.add(automaton_step(state, letter))
-            if compiled is not None:
-                final_flags = compiled.final_flags
-                for states in nxt.values():
-                    for state in states:
-                        if final_flags[state]:
-                            self._declare(state)
-            else:
-                for states in nxt.values():
-                    for state in states:
-                        if is_final(state):
-                            self._declare(state)
+            for states in nxt.values():
+                for state in states:
+                    if final_flags[state] if compiled is not None else is_final(state):
+                        declared[state] = None
             if final_offsets in nxt:
                 final_states = nxt[final_offsets]
             current = nxt
-        return set(final_states), letters_at_target
+        return frozenset(final_states), tuple(declared)
 
-    def _box_reachable_linear(self, view: GlobalView, entry: TokenEntry) -> set[int]:
+    def _box_search_linear(
+        self,
+        view: GlobalView,
+        letter_cols: list[tuple[Letter, ...]],
+        vc_cols: list[tuple[tuple[int, ...], ...]],
+    ) -> tuple[frozenset[int], tuple[int, ...]]:
         """Fallback for oversized boxes: replay one causally-consistent
         linearisation of the box events (sound, possibly incomplete)."""
-        n = self.num_processes
-        base = list(view.cut)
-        target = list(entry.cut)
-        events: list[tuple[tuple[int, ...], int, int]] = []
-        for j in range(n):
-            for sn in range(base[j] + 1, target[j] + 1):
-                events.append((entry.scanned_vcs[j][sn], j, sn))
+        events: list[tuple[tuple[int, ...], int, Letter]] = []
+        for j, (letters_j, vcs_j) in enumerate(zip(letter_cols, vc_cols)):
+            events.extend((vc, j, letter) for letter, vc in zip(letters_j, vcs_j))
         events.sort(key=lambda item: (sum(item[0]), item[0], item[1]))
         letters = list(view.letters)
         state = view.state
+        declared: dict[int, None] = {}
         compiled = self._compiled
         if compiled is not None:
             mask_of = self._mask_of
@@ -983,21 +1099,21 @@ class DecentralizedMonitor:
             table = compiled.table
             n_letters = compiled.n_letters
             final_flags = compiled.final_flags
-            for _, j, sn in events:
-                masks[j] = mask_of(entry.scanned_letters[j][sn])
+            for _, j, letter in events:
+                masks[j] = mask_of(letter)
                 mask = 0
                 for m in masks:
                     mask |= m
                 state = table[state * n_letters + mask]
                 if final_flags[state]:
-                    self._declare(state)
-            return {state}
-        for _, j, sn in events:
-            letters[j] = entry.scanned_letters[j][sn]
+                    declared[state] = None
+            return frozenset({state}), tuple(declared)
+        for _, j, letter in events:
+            letters[j] = letter
             state = self.automaton.step(state, self._combine(letters))
             if self.automaton.is_final(state):
-                self._declare(state)
-        return {state}
+                declared[state] = None
+        return frozenset({state}), tuple(declared)
 
     # ------------------------------------------------------------------
     # merging (MERGESIMILARGLOBALVIEWS)

@@ -18,6 +18,7 @@ touching the harness logic.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -243,7 +244,8 @@ def run_topology_frontier(
     returns one row per (topology, property) with the averaged message
     decomposition (token / termination / digest), the virtual-time instant
     the monitors went quiescent (the verdict-latency proxy
-    ``verdict_latency``) and the declared verdicts.  With
+    ``verdict_latency``), the declared verdicts and ``seconds``, the wall
+    time of that point's own runs.  With
     *include_centralized* a per-property ``centralized`` baseline row —
     observation deliveries plus the verdict broadcast of the oracle — pins
     the frontier's lower-left corner.  Replications and seeds follow the
@@ -283,6 +285,7 @@ def run_topology_frontier(
             )
             computations.append((seed, generate_computation(config)))
         for topology in chosen:
+            started = time.perf_counter()
             reports = [
                 simulate_monitored_run(
                     computation,
@@ -295,6 +298,7 @@ def run_topology_frontier(
                 )
                 for seed, computation in computations
             ]
+            seconds = time.perf_counter() - started
             declared: set[str] = set()
             for report in reports:
                 declared |= {str(v) for v in report.declared_verdicts}
@@ -311,15 +315,18 @@ def run_topology_frontier(
                     "digest_messages": _avg(r.digest_messages for r in reports),
                     "verdict_latency": _avg(r.monitor_end_time for r in reports),
                     "declared": "".join(sorted(declared)) or "-",
+                    "seconds": seconds,
                 }
             )
         if include_centralized:
+            started = time.perf_counter()
             results = [
                 CentralizedMonitor.monitor_computation(
                     computation, automaton, registry
                 )
                 for _, computation in computations
             ]
+            seconds = time.perf_counter() - started
             rows.append(
                 {
                     "topology": "centralized",
@@ -338,6 +345,7 @@ def run_topology_frontier(
                         sorted({str(v) for r in results for v in r.verdicts})
                     )
                     or "-",
+                    "seconds": seconds,
                 }
             )
     return rows

@@ -6,11 +6,14 @@ the documentation.  These tests pin their contracts: broken targets and
 missing anchors fail with exit 1, code fences are skipped, unknown-marker
 files are rejected, stale generated blocks are refreshed, multi-marker
 files refresh every section, and the results report round-trips through
-its ``--check`` mode.
+its ``--check`` mode.  The benchmark session hook must write its document
+to an ignored path, so a test run leaves the tracked artifact alone.
 """
 
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -201,3 +204,30 @@ class TestResultsReport:
             cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+class TestBenchArtifactPath:
+    @staticmethod
+    def _default_bench_json():
+        spec = importlib.util.spec_from_file_location(
+            "benchmarks_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return Path(module.DEFAULT_BENCH_JSON)
+
+    def test_default_path_is_not_the_committed_artifact(self):
+        committed = REPO_ROOT / "benchmarks" / "BENCH_results.json"
+        assert self._default_bench_json() != committed
+        assert gen_results_report.BENCH_DOCUMENT == committed
+
+    def test_default_path_is_git_ignored(self):
+        if shutil.which("git") is None or not (REPO_ROOT / ".git").exists():
+            pytest.skip("needs git and a git checkout")
+        path = self._default_bench_json()
+        result = subprocess.run(
+            ["git", "check-ignore", "-q", os.path.relpath(path, REPO_ROOT)],
+            cwd=REPO_ROOT,
+            capture_output=True,
+        )
+        assert result.returncode == 0, f"{path} is not git-ignored"

@@ -12,7 +12,12 @@ committed inputs, so the report can never drift from either:
 
     python tools/gen_results_report.py              # rewrite docs/results.md
     python tools/gen_results_report.py --check      # verify, exit 1 on drift
+    python tools/gen_results_report.py --refresh    # re-measure, then rewrite
 
+A plain test run writes its document to the git-ignored ``.benchmarks/``;
+``--refresh`` is the one command that replaces the committed artifact: it
+runs the benchmark suite into ``benchmarks/BENCH_results.json`` and then
+rewrites the report from it, so the two are always committed together.
 CI runs ``--check`` in the docs job, and ``tests/docs/test_docs.py`` holds
 the same gate locally.
 """
@@ -22,7 +27,9 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,10 +108,10 @@ def render_report(document: dict) -> str:
         "Every table and figure of the paper's evaluation chapter is",
         "regenerated by one benchmark module under `benchmarks/`; the wall-clock",
         "numbers below come from the committed `benchmarks/BENCH_results.json`",
-        "(schema `repro-bench/1`, see [benchmarks.md](benchmarks.md)), written",
-        "by the suite at session finish.  Regenerate the artifact with",
-        "`PYTHONPATH=src python -m pytest benchmarks -q` and this report with",
-        "`python tools/gen_results_report.py`.",
+        "(schema `repro-bench/1`, see [benchmarks.md](benchmarks.md)).  Refresh",
+        "the artifact and this report together with",
+        "`python tools/gen_results_report.py --refresh`, which re-runs",
+        "`python -m pytest benchmarks` into the committed artifact.",
         "",
         "## Paper artefacts by benchmark module",
         "",
@@ -194,6 +201,17 @@ def render_report(document: dict) -> str:
     return "\n".join(lines)
 
 
+def _run_benchmarks() -> int:
+    """Run the benchmark suite, writing its document to the committed path."""
+    env = dict(os.environ, BENCH_JSON=str(BENCH_DOCUMENT))
+    source = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (source, env.get("PYTHONPATH")) if path
+    )
+    command = [sys.executable, "-m", "pytest", "-q", str(BENCHMARKS)]
+    return subprocess.run(command, cwd=REPO_ROOT, env=env).returncode
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: write the report, or verify it with ``--check``."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -203,13 +221,24 @@ def main(argv: list[str] | None = None) -> int:
         default=str(DEFAULT_OUTPUT),
         help="report path (default: docs/results.md)",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check",
         action="store_true",
         help="verify the report matches a fresh rendering; exit 1 on drift",
     )
+    mode.add_argument(
+        "--refresh",
+        action="store_true",
+        help="re-run the benchmark suite into the committed artifact first",
+    )
     args = parser.parse_args(argv)
 
+    if args.refresh:
+        status = _run_benchmarks()
+        if status != 0:
+            print(f"benchmark suite failed (exit {status})", file=sys.stderr)
+            return status
     try:
         document = json.loads(BENCH_DOCUMENT.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as error:
